@@ -36,8 +36,7 @@ void add_sort_case(Suite& suite, const std::string& name,
     const std::size_t n =
         static_cast<std::size_t>(ctx.scaled(full_n, full_n / 8));
     ctx.param("elements", static_cast<std::uint64_t>(n));
-    ctx.param("order",
-              order == InputOrder::Random ? "random" : "reverse");
+    ctx.param("order", sort::to_string(order));
     const auto base = sort::make_input(n, order, ctx.seed());
     std::vector<std::int64_t> v(n);
     ctx.measure("sort_seconds", [&] {
@@ -72,7 +71,8 @@ void view(const RunReport& report, std::ostream& out) {
 void register_host_sort(Harness& h) {
   Suite suite = h.suite(
       "host_sort",
-      "Host-mode microbenchmarks: serial introsort, funnelsort, "
+      "Host-mode microbenchmarks: serial introsort and branchless "
+      "serial_sort, funnelsort, "
       "multiway merge, parallel sorts, MLM-sort end-to-end");
 
   for (std::size_t n : {std::size_t{1} << 14, std::size_t{1} << 17,
@@ -80,6 +80,40 @@ void register_host_sort(Harness& h) {
     add_sort_case(suite, "serial_introsort/" + std::to_string(n), n,
                   InputOrder::Random, [](std::vector<std::int64_t>& v) {
                     sort::introsort(v.begin(), v.end());
+                  });
+    // serial_sort takes the branchless quicksort for int64 keys.
+    add_sort_case(suite, "serial_sort/" + std::to_string(n), n,
+                  InputOrder::Random, [](std::vector<std::int64_t>& v) {
+                    sort::serial_sort(v.begin(), v.end());
+                  });
+  }
+  for (std::size_t n :
+       {std::size_t{1} << 17, std::size_t{1} << 20}) {
+    add_sort_case(suite,
+                  "serial_introsort_few_distinct/" + std::to_string(n), n,
+                  InputOrder::FewDistinct, [](std::vector<std::int64_t>& v) {
+                    sort::introsort(v.begin(), v.end());
+                  });
+    add_sort_case(suite, "serial_sort_few_distinct/" + std::to_string(n),
+                  n, InputOrder::FewDistinct,
+                  [](std::vector<std::int64_t>& v) {
+                    sort::serial_sort(v.begin(), v.end());
+                  });
+  }
+  // Every input order at MLM-sort's per-thread chunk size (512 Ki
+  // int64), branchless serial_sort against introsort.
+  constexpr std::size_t kChunk = std::size_t{1} << 19;
+  for (InputOrder order :
+       {InputOrder::Random, InputOrder::Sorted, InputOrder::Reverse,
+        InputOrder::NearlySorted, InputOrder::FewDistinct}) {
+    const std::string o = sort::to_string(order);
+    add_sort_case(suite, "order_grid/introsort/" + o, kChunk, order,
+                  [](std::vector<std::int64_t>& v) {
+                    sort::introsort(v.begin(), v.end());
+                  });
+    add_sort_case(suite, "order_grid/serial_sort/" + o, kChunk, order,
+                  [](std::vector<std::int64_t>& v) {
+                    sort::serial_sort(v.begin(), v.end());
                   });
   }
   for (std::size_t n :

@@ -91,6 +91,14 @@ void* MemorySpace::allocate(std::size_t bytes) {
                                     : std::string())
        << ") cannot allocate " << bytes << " bytes: used "
        << stats().used_bytes << " of " << capacity_ << " capacity";
+    // A sub-arena also fails when a space it forwards to is full, which
+    // its own figures cannot show; name every ancestor's usage too.
+    for (const MemorySpace* up = impl_->parent; up != nullptr;
+         up = up->parent()) {
+      os << "; parent '" << up->name() << "' (" << to_string(up->kind())
+         << ") used " << up->stats().used_bytes << " of "
+         << up->capacity_bytes() << " capacity";
+    }
     throw OutOfMemoryError(os.str());
   }
   return p;

@@ -85,9 +85,11 @@ class DeterministicScheduler {
 
   void enqueue(DeterministicExecutor* owner, std::string tag,
                std::function<void()> fn);
-  /// Forget an executor's unexecuted tasks (its destructor calls this so
-  /// dead tasks can never touch freed captures on a later step).
-  void drop_tasks(const DeterministicExecutor* owner);
+  /// Remove and return an executor's unexecuted tasks (its destructor
+  /// calls this so dead tasks can never touch freed captures on a later
+  /// step).
+  std::vector<std::function<void()>> take_tasks(
+      const DeterministicExecutor* owner);
   bool has_tasks(const DeterministicExecutor* owner) const;
 
   std::uint64_t seed_;
@@ -105,7 +107,9 @@ class DeterministicExecutor : public Executor {
  public:
   DeterministicExecutor(DeterministicScheduler& scheduler, std::size_t size,
                         std::string name = "det");
-  /// Unexecuted tasks are dropped (never run after the executor dies).
+  /// Unexecuted tasks are dropped (never run after the executor dies);
+  /// a dropped submit_slices slice fails its batch's future with
+  /// std::future_error(broken_promise).
   ~DeterministicExecutor() override;
 
   DeterministicExecutor(const DeterministicExecutor&) = delete;
@@ -140,6 +144,10 @@ class DeterministicExecutor : public Executor {
   DeterministicScheduler& scheduler() { return sched_; }
 
  private:
+  /// The queued form of a post_bulk task; a named type so the
+  /// destructor can find the slices it drops.
+  struct BulkTask;
+
   /// Tag and hand `fn` to the scheduler.  post()/submit() wrap tasks
   /// with the parallel.task.run fault site inside their own error paths
   /// (first_error_ vs. promise) before calling this, so an injected

@@ -53,7 +53,9 @@ class Executor {
   /// at parallel.task.run) travels through the returned future after
   /// every slice has finished; join it with Executor::wait.  Each slice
   /// remains an individually schedulable task, so deterministic
-  /// schedule sweeps permute them exactly as before.
+  /// schedule sweeps permute them exactly as before.  A slice that is
+  /// discarded unrun (see abandon()) counts as failed with
+  /// std::future_error(broken_promise).
   std::future<void> submit_slices(std::size_t count,
                                   std::function<void(std::size_t)> body);
 
@@ -61,7 +63,9 @@ class Executor {
   /// the tasks must not throw (submit_slices' wrappers catch
   /// internally, fault sites included) — implementations enqueue them
   /// raw, with no per-task fault-site or error instrumentation, and
-  /// count each toward tasks_executed().
+  /// count each toward tasks_executed().  An implementation that
+  /// destroys queued tasks without running them must pass each to
+  /// abandon() first.
   virtual void post_bulk(std::vector<std::function<void()>> tasks) = 0;
 
   /// Block until the queue is empty and all workers are idle.  Rethrows
@@ -94,6 +98,16 @@ class Executor {
     futs.push_back(submit_slices(size(), std::move(body)));
     wait(futs);
   }
+
+ protected:
+  /// For executors that destroy queued tasks without running them: if
+  /// `task` is a submit_slices slice, settle it as failed with
+  /// std::future_error(broken_promise), so its batch still completes its
+  /// future and frees its state once every slice has run or been
+  /// abandoned.  Other tasks are left alone (their captures free
+  /// themselves).  Slices stay 16-byte trivially copyable captures, so
+  /// the batch still costs one heap allocation.
+  static void abandon(std::function<void()>& task);
 };
 
 }  // namespace mlm

@@ -58,9 +58,18 @@ void DeterministicScheduler::enqueue(DeterministicExecutor* owner,
   runnable_.push_back(Task{owner, std::move(tag), std::move(fn)});
 }
 
-void DeterministicScheduler::drop_tasks(const DeterministicExecutor* owner) {
-  std::erase_if(runnable_,
-                [owner](const Task& t) { return t.owner == owner; });
+std::vector<std::function<void()>> DeterministicScheduler::take_tasks(
+    const DeterministicExecutor* owner) {
+  // Stable, so the survivors keep the order seeded picks index into.
+  const auto mine = std::stable_partition(
+      runnable_.begin(), runnable_.end(),
+      [owner](const Task& t) { return t.owner != owner; });
+  std::vector<std::function<void()>> taken;
+  for (auto it = mine; it != runnable_.end(); ++it) {
+    taken.push_back(std::move(it->fn));
+  }
+  runnable_.erase(mine, runnable_.end());
+  return taken;
 }
 
 bool DeterministicScheduler::has_tasks(
@@ -76,8 +85,20 @@ DeterministicExecutor::DeterministicExecutor(DeterministicScheduler& scheduler,
   MLM_REQUIRE(size >= 1, "executor needs at least one logical worker");
 }
 
+struct DeterministicExecutor::BulkTask {
+  DeterministicExecutor* owner;
+  std::function<void()> task;
+
+  void operator()() {
+    task();
+    ++owner->executed_;
+  }
+};
+
 DeterministicExecutor::~DeterministicExecutor() {
-  sched_.drop_tasks(this);
+  for (std::function<void()>& fn : sched_.take_tasks(this)) {
+    if (BulkTask* bulk = fn.target<BulkTask>()) abandon(bulk->task);
+  }
 }
 
 void DeterministicExecutor::post(std::function<void()> task) {
@@ -121,10 +142,7 @@ void DeterministicExecutor::post_bulk(
     MLM_REQUIRE(task != nullptr, "cannot post a null task");
     // No fault-site or error wrapper: batch tasks handle both
     // internally (Executor::post_bulk contract).
-    enqueue_task([this, task = std::move(task)] {
-      task();
-      ++executed_;
-    });
+    enqueue_task(BulkTask{this, std::move(task)});
   }
 }
 

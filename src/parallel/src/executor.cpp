@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstddef>
 #include <mutex>
+#include <type_traits>
 
 #include "mlm/fault/fault.h"
 #include "mlm/support/cache_line.h"
@@ -24,9 +25,12 @@ fault::FaultSite& task_fault_site() {
 // Shared state of one submit_slices batch: the single allocation and
 // the single promise all slices report to.  Self-deleting — the slice
 // that drops `remaining` to zero settles the promise and frees the
-// state, so the batch outlives any early caller.  The fault-site check
-// runs inside run()'s try, so an injected failure is recorded like any
-// slice exception and can never strand the batch future.
+// state, so the batch outlives any early caller.  A slice counts once,
+// whether it ran or its executor abandoned it unrun, so the state is
+// freed even when an executor is destroyed with slices still queued.
+// The fault-site check runs inside run()'s try, so an injected failure
+// is recorded like any slice exception and can never strand the batch
+// future.
 struct BatchState {
   std::promise<void> promise;
   std::function<void(std::size_t)> body;
@@ -45,10 +49,20 @@ struct BatchState {
       task_fault_site().maybe_throw();
       body(index);
     } catch (...) {
-      std::lock_guard<std::mutex> lock(mu);
-      if (!first_error) first_error = std::current_exception();
+      record(std::current_exception());
     }
     finish_one();
+  }
+
+  void abandon() {
+    record(std::make_exception_ptr(
+        std::future_error(std::future_errc::broken_promise)));
+    finish_one();
+  }
+
+  void record(std::exception_ptr error) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (!first_error) first_error = std::move(error);
   }
 
   void finish_one() {
@@ -64,7 +78,28 @@ struct BatchState {
   }
 };
 
+// The queued form of one slice.  16 bytes and trivially copyable, so
+// std::function stores it in place (no per-slice allocation), and a
+// named type, so abandon() can recognise it.
+struct BatchSlice {
+  BatchState* state;
+  std::size_t index;
+
+  void operator()() const { state->run(index); }
+};
+static_assert(std::is_trivially_copyable_v<BatchSlice> &&
+                  sizeof(BatchSlice) <= 16,
+              "libstdc++ std::function stores only trivially copyable "
+              "callables of at most 16 bytes in place");
+
 }  // namespace
+
+void Executor::abandon(std::function<void()>& task) {
+  if (BatchSlice* slice = task.target<BatchSlice>()) {
+    slice->state->abandon();
+    task = nullptr;
+  }
+}
 
 std::future<void> Executor::submit_slices(
     std::size_t count, std::function<void(std::size_t)> body) {
@@ -79,9 +114,7 @@ std::future<void> Executor::submit_slices(
   std::vector<std::function<void()>> tasks;
   tasks.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    // 16-byte capture: fits std::function's small-buffer storage, so
-    // the batch costs one heap allocation total, not one per slice.
-    tasks.emplace_back([state, i] { state->run(i); });
+    tasks.emplace_back(BatchSlice{state, i});
   }
   post_bulk(std::move(tasks));
   return fut;

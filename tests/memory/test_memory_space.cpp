@@ -307,5 +307,31 @@ TEST(SubArena, ExhaustionMessageNamesParentArena) {
   }
 }
 
+TEST(SubArena, ExhaustionMessageNamesTheFullParentTier) {
+  // Two tenant views over one parent: t1 fills the parent, so t0's
+  // request fails although t0's own budget has room.  Its own figures
+  // ("used 16384 of 65536") look like spare room; the message must
+  // also name the exhausted parent and its usage.
+  MemorySpace parent("ddr", MemKind::DDR, KiB(64));
+  MemorySpace t0("t0/ddr", parent, KiB(64));
+  MemorySpace t1("t1/ddr", parent, KiB(64));
+  void* a = t0.allocate(KiB(16));
+  void* b = t1.allocate(KiB(48));
+  try {
+    t0.allocate(KiB(16));
+    FAIL() << "expected OutOfMemoryError";
+  } catch (const OutOfMemoryError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'t0/ddr'"), std::string::npos) << what;
+    EXPECT_NE(what.find("used 16384 of 65536 capacity"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("parent 'ddr' (DDR) used 65536 of 65536 capacity"),
+              std::string::npos)
+        << what;
+  }
+  t0.deallocate(a);
+  t1.deallocate(b);
+}
+
 }  // namespace
 }  // namespace mlm

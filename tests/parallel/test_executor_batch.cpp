@@ -173,6 +173,77 @@ TEST(SubmitSlicesDeterministic, InjectedFaultPropagatesViaWait) {
   EXPECT_EQ(plan.stats(fault::sites::kTaskRun).fires, 1u);
 }
 
+// A batch whose executor dies before its slices run must still settle
+// its future and free its state (the sanitize preset's leak checker
+// reports the state otherwise).
+void expect_broken_promise(std::future<void>& fut) {
+  ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  try {
+    fut.get();
+    FAIL() << "expected the batch future to report an error";
+  } catch (const std::future_error& e) {
+    EXPECT_EQ(e.code(), std::future_errc::broken_promise);
+  }
+}
+
+TEST(SubmitSlicesDeterministic, DestroyedExecutorBreaksPendingBatch) {
+  DeterministicScheduler sched(3);
+  std::size_t ran = 0;
+  std::future<void> fut;
+  {
+    DeterministicExecutor exec(sched, 4, "doomed");
+    fut = exec.submit_slices(8, [&ran](std::size_t) { ++ran; });
+  }
+  EXPECT_EQ(ran, 0u);
+  EXPECT_EQ(sched.pending(), 0u);
+  expect_broken_promise(fut);
+}
+
+TEST(SubmitSlicesDeterministic, DestroyedExecutorBreaksPartlyRunBatch) {
+  DeterministicScheduler sched(11);
+  DeterministicExecutor other(sched, 1, "other");
+  std::size_t ran = 0;
+  std::future<void> fut;
+  {
+    DeterministicExecutor exec(sched, 4, "doomed");
+    fut = exec.submit_slices(8, [&ran](std::size_t) { ++ran; });
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(sched.step());
+    // Another executor's queued work survives the drop.
+    other.post([] {});
+  }
+  EXPECT_EQ(ran, 3u);
+  EXPECT_EQ(sched.pending(), 1u);
+  expect_broken_promise(fut);
+  other.wait_idle();
+  EXPECT_EQ(other.tasks_executed(), 1u);
+}
+
+TEST(SubmitSlicesDeterministic, SliceErrorWinsOverAbandonment) {
+  DeterministicScheduler sched(2);
+  std::future<void> fut;
+  {
+    DeterministicExecutor exec(sched, 2, "doomed");
+    fut = exec.submit_slices(
+        4, [](std::size_t) { throw std::runtime_error("slice failed"); });
+    ASSERT_TRUE(sched.step());
+  }
+  EXPECT_THROW(fut.get(), std::runtime_error);
+}
+
+TEST(SubmitSlices, DestroyedPoolRunsQueuedBatchFirst) {
+  // ThreadPool's destructor drains its queue, so a batch posted just
+  // before it completes normally rather than being abandoned.
+  std::atomic<std::size_t> ran{0};
+  std::future<void> fut;
+  {
+    ThreadPool pool(2);
+    fut = pool.submit_slices(16, [&ran](std::size_t) { ran.fetch_add(1); });
+  }
+  EXPECT_EQ(ran.load(), 16u);
+  EXPECT_NO_THROW(fut.get());
+}
+
 TEST(RunOnAll, UsesOneBatchForAllWorkers) {
   ThreadPool pool(3);
   const std::size_t before = pool.tasks_executed();
