@@ -70,7 +70,8 @@ class ThreadPool : public Executor {
   /// rethrowing the first captured exception.
   void wait(std::vector<std::future<void>>& futures) override;
 
-  /// Number of tasks executed since construction (for tests/diagnostics).
+  /// Number of tasks executed since construction (for tests/diagnostics);
+  /// a task counts from the moment a worker takes it off the queue.
   std::size_t tasks_executed() const override;
 
   /// How the construction-time pin plan went (all zeros for the

@@ -62,6 +62,10 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop_front();
       ++active_;
+      // Counted before it runs: a task may settle a future (the last
+      // slice of a submit_slices batch does), and a caller woken by it
+      // must already see the task in tasks_executed().
+      ++executed_;
     }
     try {
       task();
@@ -72,7 +76,6 @@ void ThreadPool::worker_loop() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       --active_;
-      ++executed_;
       if (queue_.empty() && active_ == 0) cv_idle_.notify_all();
     }
   }
