@@ -13,6 +13,7 @@
 
 #include "mlm/core/mlm_sort.h"
 #include "mlm/machine/knl_config.h"
+#include "mlm/parallel/thread_pool.h"
 #include "mlm/sort/funnelsort.h"
 #include "mlm/sort/input_gen.h"
 #include "mlm/sort/multiway_merge.h"

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "mlm/core/external_sort.h"
+#include "mlm/parallel/thread_pool.h"
 #include "mlm/sort/input_gen.h"
 #include "mlm/support/stopwatch.h"
 #include "mlm/support/table.h"
@@ -30,23 +31,25 @@ int main(int argc, char** argv) {
     }
   }
 
-  TripleSpaceConfig tcfg;
-  tcfg.mode = McdramMode::Flat;
-  tcfg.mcdram_bytes = KiB(512);
-  tcfg.ddr_bytes = MiB(2);
-  tcfg.nvm_bytes = 0;  // unlimited
-  TripleSpace space(tcfg);
+  const std::uint64_t mcdram_bytes = KiB(512);
+  const std::uint64_t ddr_bytes = MiB(2);
+  HierarchyConfig hcfg;
+  hcfg.mode = McdramMode::Flat;
+  hcfg.tiers = {TierConfig{"nvm", MemKind::NVM, 0},  // unlimited
+                TierConfig{"ddr", MemKind::DDR, ddr_bytes},
+                TierConfig{"mcdram", MemKind::MCDRAM, mcdram_bytes}};
+  MemoryHierarchy hier(hcfg);
   ThreadPool pool(4);
 
   const std::size_t n = 2 << 20;  // 2M int64 = 16 MiB
-  std::cout << "Machine: MCDRAM " << fmt_count(tcfg.mcdram_bytes)
-            << " B, DDR " << fmt_count(tcfg.ddr_bytes)
+  std::cout << "Machine: MCDRAM " << fmt_count(mcdram_bytes)
+            << " B, DDR " << fmt_count(ddr_bytes)
             << " B, NVM unlimited\n"
             << "Data:    " << fmt_count(n) << " int64 ("
             << fmt_count(n * 8) << " B) resident in NVM — "
-            << (n * 8) / tcfg.ddr_bytes << "x the DDR\n\n";
+            << (n * 8) / ddr_bytes << "x the DDR\n\n";
 
-  SpaceBuffer<std::int64_t> data(space.nvm(), n);
+  SpaceBuffer<std::int64_t> data(hier.tier(0), n);
   {
     auto init = sort::make_input(n, sort::InputOrder::Random, 2024);
     std::copy(init.begin(), init.end(), data.data());
@@ -70,7 +73,7 @@ int main(int argc, char** argv) {
     cfg.inner.trace_track = 2;
     cfg.inner.trace_epoch = &epoch;
   }
-  core::ExternalMlmSorter<std::int64_t> sorter(space, pool, cfg);
+  core::ExternalMlmSorter<std::int64_t> sorter(hier, pool, cfg);
 
   Stopwatch timer;
   const core::ExternalSortStats stats =
@@ -89,11 +92,11 @@ int main(int argc, char** argv) {
             << "External merge ran:             "
             << (stats.external_merge_ran ? "yes" : "no") << "\n"
             << "DDR high-water:                 "
-            << fmt_count(space.ddr().stats().high_water_bytes) << " of "
-            << fmt_count(tcfg.ddr_bytes) << "\n"
+            << fmt_count(hier.tier(1).stats().high_water_bytes) << " of "
+            << fmt_count(ddr_bytes) << "\n"
             << "MCDRAM high-water:              "
-            << fmt_count(space.mcdram().stats().high_water_bytes)
-            << " of " << fmt_count(tcfg.mcdram_bytes) << "\n"
+            << fmt_count(hier.tier(2).stats().high_water_bytes)
+            << " of " << fmt_count(mcdram_bytes) << "\n"
             << "Phases (staging/sorting/merging): "
             << fmt_double(stats.staging_seconds, 2) << " / "
             << fmt_double(stats.sorting_seconds, 2) << " / "

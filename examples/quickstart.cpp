@@ -15,6 +15,7 @@
 
 #include "mlm/core/mlm_sort.h"
 #include "mlm/machine/knl_config.h"
+#include "mlm/parallel/thread_pool.h"
 #include "mlm/sort/input_gen.h"
 #include "mlm/support/stopwatch.h"
 #include "mlm/support/table.h"

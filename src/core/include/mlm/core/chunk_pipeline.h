@@ -66,8 +66,9 @@ struct PipelineStats {
   std::uint64_t bytes_copied_in = 0;
   std::uint64_t bytes_copied_out = 0;
   /// Per-stage busy time: the span from posting a stage's slices to
-  /// their completion, summed over steps.  Overlapped stages share wall
-  /// time, so the three can sum to more than total_seconds.
+  /// the last one finishing (not to the step barrier that joins them),
+  /// summed over steps.  Overlapped stages share wall time, so the three
+  /// can sum to more than total_seconds.
   double copy_in_seconds = 0.0;
   double compute_seconds = 0.0;
   double copy_out_seconds = 0.0;

@@ -30,7 +30,6 @@
 #include "mlm/core/mlm_sort.h"
 #include "mlm/fault/fault.h"
 #include "mlm/memory/memory_hierarchy.h"
-#include "mlm/memory/triple_space.h"
 #include "mlm/parallel/parallel_for.h"
 #include "mlm/parallel/parallel_memcpy.h"
 #include "mlm/sort/loser_tree.h"
@@ -359,8 +358,8 @@ struct ExternalSortConfig {
   /// stepper reports each completed StageIn -> InnerSort -> StageOut
   /// outer chunk and applies the returned tuning: a chunk-size change
   /// re-chunks the *remaining* input (the final merge handles runs of
-  /// any sizes), a copy-thread change re-creates the inner sorter with
-  /// the new overlap copy pool.  Null = fixed configuration.
+  /// any sizes), a copy-thread change sets how many slices the inner
+  /// sorter's next overlapped copy-ins post.  Null = fixed configuration.
   TuningHook tuning_hook;
 };
 
@@ -426,10 +425,9 @@ struct ExternalSortCheckpoint {
   bool inner_tier_fallback = false;
 };
 
-/// Sorts NVM-resident data through DDR and MCDRAM with double chunking.
-/// Operates on the three farthest tiers of an NVM -> DDR -> MCDRAM
-/// MemoryHierarchy (TripleSpace remains accepted as a compatibility
-/// view).
+/// Sorts NVM-resident data through DDR and MCDRAM with double chunking,
+/// on the three tiers of an NVM -> DDR -> MCDRAM MemoryHierarchy whose
+/// DDR tier has a capacity limit.
 template <typename T, typename Comp = std::less<>>
 class ExternalMlmSorter {
  public:
@@ -439,11 +437,11 @@ class ExternalMlmSorter {
         config_(config), comp_(comp) {
     MLM_REQUIRE(hierarchy.tier_count() == 3,
                 "external sorter needs an NVM -> DDR -> MCDRAM hierarchy");
+    // Outer chunks are sized from DDR's free bytes, and the third level
+    // exists only for problems larger than DDR.
+    MLM_REQUIRE(!hierarchy.tier(1).unlimited(),
+                "three-level setting requires a DDR capacity limit");
   }
-
-  ExternalMlmSorter(TripleSpace& space, Executor& pool,
-                    ExternalSortConfig config, Comp comp = {})
-      : ExternalMlmSorter(space.hierarchy(), pool, config, comp) {}
 
   /// Resumable form of sort(), the unit the service-layer JobScheduler
   /// drives.  The four sorter phases are explicit steps, and the
@@ -682,8 +680,8 @@ class ExternalMlmSorter {
     // completed outer chunk.  Chunk-size decisions re-chunk only the
     // *remaining* input (never past the staging buffer), which is
     // output-transparent: the final k-way merge consumes sorted runs
-    // of any sizes.  Copy-thread decisions re-create the inner sorter
-    // so its overlap copy pool is resized at the chunk boundary.
+    // of any sizes.  Copy-thread decisions change how many slices the
+    // inner sorter's overlapped copy-ins post from the next chunk on.
     void apply_tuning() {
       if (!s_.config_.tuning_hook) return;
       const IndexRange& done = chunks_[index_ - 1];
@@ -731,7 +729,7 @@ class ExternalMlmSorter {
           s_.config_.inner.overlap_copy_in &&
           tuning.copy_threads != s_.config_.inner.copy_threads) {
         s_.config_.inner.copy_threads = tuning.copy_threads;
-        inner_.emplace(s_.upper_, s_.pool_, s_.config_.inner, s_.comp_);
+        inner_->set_copy_threads(tuning.copy_threads);
         ++stats_.adaptation.split_changes;
       }
       stats_.adaptation.final_copy_threads = s_.config_.inner.copy_threads;

@@ -4,7 +4,8 @@
 // MCDRAM-sized "megachunks".  For each megachunk:
 //
 //   1. copy it into MCDRAM (flat mode only; all threads copy — the paper
-//      leaves buffering the megachunk pipeline as future work),
+//      leaves buffering the megachunk pipeline as future work, which
+//      overlap_copy_in implements on the same workers, see below),
 //   2. divide it into maximally-sized chunks, one per thread, and sort
 //      each chunk with the best available *serial* sort (our
 //      serial_sort: a branchless quicksort for integer keys, introsort
@@ -23,20 +24,23 @@
 //               hardware cache mode, megachunk defaults to the whole
 //               problem ("MLM-implicit")
 //   DdrOnly   — identical structure, MCDRAM unused ("MLM-ddr")
+//
+// Every copy, sort and merge task runs on the one Executor the sorter is
+// given, so a deterministic executor schedules all of them and the
+// sorter never uses more threads than that executor has.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <span>
 #include <vector>
 
 #include "mlm/memory/dual_space.h"
 #include "mlm/parallel/parallel_for.h"
 #include "mlm/parallel/parallel_memcpy.h"
-#include "mlm/parallel/thread_pool.h"
 #include "mlm/sort/multiway_merge.h"
-#include "mlm/sort/parallel_sort.h"
 #include "mlm/sort/serial_sort.h"
 #include "mlm/support/error.h"
 #include "mlm/support/stopwatch.h"
@@ -55,13 +59,17 @@ struct MlmSortConfig {
   /// (Flat) or the whole problem (Implicit/DdrOnly) — the choices the
   /// paper found best (§4.1, Fig. 7).
   std::size_t megachunk_elements = 0;
-  /// Flat only: double-buffer the megachunks so a dedicated copy pool
-  /// loads megachunk c+1 while the workers sort megachunk c — the
-  /// buffering the paper leaves as future work (§6: "a slightly
-  /// different approach might allow hiding the copy-in latency of the
-  /// next megachunk").  Halves the maximum megachunk size.
+  /// Flat only: double-buffer the megachunks so megachunk c+1 is
+  /// copied in while megachunk c is sorted — the buffering the paper
+  /// leaves as future work (§6: "a slightly different approach might
+  /// allow hiding the copy-in latency of the next megachunk").  Halves
+  /// the maximum megachunk size.
   bool overlap_copy_in = false;
-  /// Copy-in pool size when overlap_copy_in is set.
+  /// When overlap_copy_in is set: the most slices each overlapped
+  /// copy-in posts on the sorter's executor (parallel_memcpy_slice_count
+  /// fits it to the copy size, never below one), i.e. how many of its
+  /// workers load megachunk c+1 while the rest sort megachunk c — the
+  /// simulator's copy_threads, drawn from the same thread budget.
   std::size_t copy_threads = 2;
   /// Optional trace export: megachunk copy-in and sort+merge spans land
   /// on `trace_track` of `trace` (null = tracing off), timed against
@@ -96,8 +104,15 @@ class MlmSorter {
     }
   }
 
+  /// Change how many slices the next overlapped copy-in posts (an online
+  /// tuner's copy-thread decision between sorts).
+  void set_copy_threads(std::size_t copy_threads) {
+    config_.copy_threads = copy_threads;
+  }
+
   /// Sort `data` ascending (by comp).  Allocates one DDR scratch array of
-  /// data.size() elements, plus (Flat) one MCDRAM megachunk buffer.
+  /// data.size() elements, plus (Flat) one MCDRAM megachunk buffer, or
+  /// two when overlap_copy_in is set.
   MlmSortStats sort(std::span<T> data) {
     MlmSortStats stats;
     if (data.size() <= 1) {
@@ -113,14 +128,7 @@ class MlmSorter {
     // DDR scratch receives the sorted megachunk runs.
     SpaceBuffer<T> scratch(space_.ddr(), data.size());
 
-    const bool buffered = config_.variant == MlmVariant::Flat &&
-                          config_.overlap_copy_in &&
-                          megachunks.size() > 1;
-    if (buffered) {
-      run_megachunks_buffered(data, scratch, megachunks, stats);
-    } else {
-      run_megachunks_unbuffered(data, scratch, megachunks, stats);
-    }
+    run_megachunks(data, scratch, megachunks, stats);
 
     if (megachunks.size() == 1) {
       // Scratch holds the fully sorted output; move it home.
@@ -195,66 +203,63 @@ class MlmSorter {
         std::span<T>(scratch.data() + out_begin, work.size()), comp_);
   }
 
-  /// The paper's unbuffered scheme: one megachunk resident at a time,
-  /// all threads copy, then all threads sort/merge.
-  void run_megachunks_unbuffered(std::span<T> data, SpaceBuffer<T>& scratch,
-                                 const std::vector<IndexRange>& megachunks,
-                                 MlmSortStats& stats) {
-    SpaceBuffer<T> near_buf;
-    if (config_.variant == MlmVariant::Flat) {
-      near_buf = SpaceBuffer<T>(space_.mcdram(), megachunks.front().size());
+  /// The megachunk loop.  Unbuffered (the paper's scheme): one near
+  /// buffer; all workers copy megachunk c in, then sort and merge it.
+  /// Buffered (§6 future work): two near buffers; before megachunk c is
+  /// sorted, megachunk c+1's copy-in is posted as copy_threads slices on
+  /// the same executor, so those workers load it while the others sort,
+  /// and it is joined once megachunk c is merged.
+  void run_megachunks(std::span<T> data, SpaceBuffer<T>& scratch,
+                      const std::vector<IndexRange>& megachunks,
+                      MlmSortStats& stats) {
+    const bool flat = config_.variant == MlmVariant::Flat;
+    const bool buffered =
+        flat && config_.overlap_copy_in && megachunks.size() > 1;
+    const std::size_t near_count = buffered ? 2 : flat ? 1 : 0;
+    SpaceBuffer<T> near_bufs[2];
+    for (std::size_t b = 0; b < near_count; ++b) {
+      near_bufs[b] = SpaceBuffer<T>(space_.mcdram(), megachunks.front().size());
     }
-    std::size_t index = 0;
-    for (const IndexRange& mc : megachunks) {
-      std::span<T> src = data.subspan(mc.begin, mc.size());
-      std::span<T> work = src;
-      if (config_.variant == MlmVariant::Flat) {
-        work = std::span<T>(near_buf.data(), mc.size());
-        const double t0 = trace_now();
-        parallel_memcpy(pool_, work.data(), src.data(),
-                        mc.size() * sizeof(T));
-        trace_emit("mega copy-in " + std::to_string(index), t0);
-        stats.bytes_copied_in += mc.size() * sizeof(T);
+    // The copy-in in flight writes a near buffer, so it is joined before
+    // the buffers go away, also when a sort throws.
+    std::vector<std::future<void>> pending;
+    struct JoinPending {
+      Executor& pool;
+      std::vector<std::future<void>>& futures;
+      ~JoinPending() {
+        try {
+          pool.wait(futures);
+        } catch (...) {
+        }
+      }
+    } join_pending{pool_, pending};
+
+    for (std::size_t c = 0; c < megachunks.size(); ++c) {
+      const IndexRange& mc = megachunks[c];
+      std::span<T> work = data.subspan(mc.begin, mc.size());
+      if (flat) {
+        T* near = near_bufs[c % near_count].data();
+        if (c == 0 || !buffered) {
+          const double t0 = trace_now();
+          parallel_memcpy(pool_, near, work.data(), mc.size() * sizeof(T));
+          trace_emit("mega copy-in " + std::to_string(c), t0);
+          stats.bytes_copied_in += mc.size() * sizeof(T);
+        }
+        work = std::span<T>(near, mc.size());
+      }
+      if (buffered && c + 1 < megachunks.size()) {
+        const IndexRange& next = megachunks[c + 1];
+        pending = parallel_memcpy_async(
+            pool_, near_bufs[(c + 1) % 2].data(), data.data() + next.begin,
+            next.size() * sizeof(T), config_.copy_threads);
+        stats.bytes_copied_in += next.size() * sizeof(T);
+        ++stats.overlapped_copies;
       }
       const double t1 = trace_now();
       sort_and_merge_megachunk(work, scratch, mc.begin, stats);
-      trace_emit("mega sort+merge " + std::to_string(index), t1);
-      ++index;
-    }
-  }
-
-  /// §6 future work, implemented: two megachunk buffers; a dedicated
-  /// copy pool streams megachunk c+1 into the idle buffer while the
-  /// worker pool sorts and merges megachunk c.
-  void run_megachunks_buffered(std::span<T> data, SpaceBuffer<T>& scratch,
-                               const std::vector<IndexRange>& megachunks,
-                               MlmSortStats& stats) {
-    SpaceBuffer<T> bufs[2] = {
-        SpaceBuffer<T>(space_.mcdram(), megachunks.front().size()),
-        SpaceBuffer<T>(space_.mcdram(), megachunks.front().size())};
-    ThreadPool copy_pool(config_.copy_threads, "mlm-copy-in");
-
-    auto start_copy = [&](std::size_t c) {
-      const IndexRange& mc = megachunks[c];
-      stats.bytes_copied_in += mc.size() * sizeof(T);
-      return parallel_memcpy_async(copy_pool, bufs[c % 2].data(),
-                                   data.data() + mc.begin,
-                                   mc.size() * sizeof(T));
-    };
-
-    auto pending = start_copy(0);
-    for (std::size_t c = 0; c < megachunks.size(); ++c) {
-      wait_all(pending);
+      trace_emit("mega sort+merge " + std::to_string(c), t1);
+      pool_.wait(pending);
       pending.clear();
-      if (c + 1 < megachunks.size()) {
-        pending = start_copy(c + 1);
-        ++stats.overlapped_copies;
-      }
-      const double t0 = trace_now();
-      sort_and_merge_megachunk(
-          std::span<T>(bufs[c % 2].data(), megachunks[c].size()), scratch,
-          megachunks[c].begin, stats);
-      trace_emit("mega sort+merge " + std::to_string(c), t0);
     }
   }
 
@@ -264,57 +269,5 @@ class MlmSorter {
   Comp comp_;
   Stopwatch trace_clock_;
 };
-
-/// The "basic algorithm" of Section 4: chunk the data, sort each chunk
-/// with the *parallel* sort (GNU-style), merge all chunk runs at the
-/// end.  Runs through the triple-buffered ChunkPipeline when the space
-/// has addressable MCDRAM.  Used as the Bender-corroboration baseline.
-template <typename T, typename Comp = std::less<>>
-void basic_chunked_sort(DualSpace& space, Executor& pool,
-                        std::span<T> data, std::size_t chunk_elements,
-                        Comp comp = {}) {
-  MLM_REQUIRE(chunk_elements >= 1, "chunk size must be positive");
-  if (data.size() <= 1) return;
-  const std::vector<IndexRange> chunks =
-      chunk_ranges(data.size(), chunk_elements);
-
-  // Sort each chunk in place (through near memory when available).
-  if (space.has_addressable_mcdram()) {
-    SpaceBuffer<T> near_buf(space.mcdram(),
-                            std::min(chunk_elements, data.size()));
-    std::vector<T> merge_scratch(std::min(chunk_elements, data.size()));
-    for (const IndexRange& c : chunks) {
-      std::span<T> src = data.subspan(c.begin, c.size());
-      parallel_memcpy(pool, near_buf.data(), src.data(),
-                      c.size() * sizeof(T));
-      std::span<T> work(near_buf.data(), c.size());
-      mlm::sort::gnu_like_parallel_sort(
-          pool, work, std::span<T>(merge_scratch.data(), c.size()), comp);
-      parallel_memcpy(pool, src.data(), near_buf.data(),
-                      c.size() * sizeof(T));
-    }
-  } else {
-    std::vector<T> merge_scratch(std::min(chunk_elements, data.size()));
-    for (const IndexRange& c : chunks) {
-      std::span<T> work = data.subspan(c.begin, c.size());
-      mlm::sort::gnu_like_parallel_sort(
-          pool, work, std::span<T>(merge_scratch.data(), c.size()), comp);
-    }
-  }
-
-  if (chunks.size() == 1) return;
-
-  // Final multiway merge of the sorted chunks.
-  SpaceBuffer<T> out(space.ddr(), data.size());
-  std::vector<mlm::sort::Run<T>> runs;
-  runs.reserve(chunks.size());
-  for (const IndexRange& c : chunks) {
-    runs.emplace_back(data.data() + c.begin, c.size());
-  }
-  mlm::sort::parallel_multiway_merge(
-      pool, std::span<const mlm::sort::Run<T>>(runs),
-      std::span<T>(out.data(), data.size()), comp);
-  parallel_memcpy(pool, data.data(), out.data(), data.size() * sizeof(T));
-}
 
 }  // namespace mlm::core

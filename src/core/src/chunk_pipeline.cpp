@@ -1,6 +1,7 @@
 #include "mlm/core/chunk_pipeline.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <optional>
@@ -131,10 +132,14 @@ struct ChunkPipelineStepper::Impl {
   /// buffering needs two drain steps past the last chunk).
   std::size_t step_limit = 0;
 
-  // Buffers are declared before the pools so that on any exit the pools
-  // drain (or, deterministically, drop) their pending slices while the
-  // buffers are still alive.
+  // Buffers and copy stamps are declared before the pools so that on any
+  // exit the pools drain (or, deterministically, drop) their pending
+  // slices while what those slices touch is still alive.
   std::vector<Allocation> buffers;
+  /// Tracer time at which the last slice of the copy-in / copy-out in
+  /// flight finished (see stamp_done).
+  std::atomic<double> in_done_s{0.0};
+  std::atomic<double> out_done_s{0.0};
   std::unique_ptr<Executor> inplace_pool;
   std::optional<TriplePools> pools;
 
@@ -370,8 +375,10 @@ struct ChunkPipelineStepper::Impl {
     auto src = chunk_range(c);
     vacquire(PipelineStage::CopyIn, c);
     stats.bytes_copied_in += src.size();
-    return parallel_memcpy_async(pools->copy_in(), buffers[c % bufs].get(),
-                                 src.data(), src.size());
+    return parallel_memcpy_async(
+        pools->copy_in(), buffers[c % bufs].get(), src.data(), src.size(),
+        pools->copy_in().size(), CopyMode::Cached, kCopySliceAlignBytes,
+        [this] { stamp_done(in_done_s); });
   }
   void run_compute(std::size_t c) {
     stage_guard(compute_fault_site(), "compute", c);
@@ -397,12 +404,25 @@ struct ChunkPipelineStepper::Impl {
     auto dst = chunk_range(c);
     vacquire(PipelineStage::CopyOut, c);
     stats.bytes_copied_out += dst.size();
-    return parallel_memcpy_async(pools->copy_out(), dst.data(),
-                                 buffers[c % bufs].get(), dst.size(),
-                                 config.copy_out_mode);
+    return parallel_memcpy_async(
+        pools->copy_out(), dst.data(), buffers[c % bufs].get(), dst.size(),
+        pools->copy_out().size(), config.copy_out_mode, kCopySliceAlignBytes,
+        [this] { stamp_done(out_done_s); });
   }
-  // Stage spans run from posting the slices to their completion; under
-  // double/triple buffering that span includes whatever overlapped it.
+  // Raise a copy stage's completion stamp to now; slices run
+  // concurrently, so the stamp ends up at the last one to finish.
+  void stamp_done(std::atomic<double>& done) const {
+    const double t = tracer.now();
+    double seen = done.load(std::memory_order_relaxed);
+    while (seen < t && !done.compare_exchange_weak(
+                           seen, t, std::memory_order_relaxed)) {
+    }
+  }
+  // A copy stage's span runs from posting its slices to the moment its
+  // last slice finished, not to the join: under double/triple buffering
+  // the join waits for compute, which would otherwise count as copy
+  // time.  The join's future orders the slices' stamps before the read;
+  // a stamp left from an earlier copy predates t0, so max() drops it.
   void join_in(std::size_t c, std::vector<std::future<void>>& in,
                double t0) {
     try {
@@ -412,7 +432,7 @@ struct ChunkPipelineStepper::Impl {
       throw;
     }
     vrelease(PipelineStage::CopyIn, c);
-    const double t1 = tracer.now();
+    const double t1 = std::max(t0, in_done_s.load(std::memory_order_relaxed));
     stats.copy_in_seconds += t1 - t0;
     tracer.emit(0, "copy-in", c, t0, t1);
   }
@@ -428,7 +448,8 @@ struct ChunkPipelineStepper::Impl {
       throw;
     }
     vrelease(PipelineStage::CopyOut, c);
-    const double t1 = tracer.now();
+    const double t1 =
+        std::max(t0, out_done_s.load(std::memory_order_relaxed));
     stats.copy_out_seconds += t1 - t0;
     tracer.emit(2, "copy-out", c, t0, t1);
   }

@@ -10,8 +10,9 @@
 // DualSpace is a compatibility view over a two-tier MemoryHierarchy
 // (mlm/memory/memory_hierarchy.h): it either owns a hierarchy built from
 // its config, or aliases two adjacent tiers of a larger one (this is how
-// TripleSpace exposes its DDR+MCDRAM upper pair).  New code should
-// program against MemoryHierarchy / TierPair directly.
+// ExternalMlmSorter hands the DDR+MCDRAM pair of a three-tier hierarchy
+// to its inner MlmSorter).  New code should program against
+// MemoryHierarchy / TierPair directly.
 #pragma once
 
 #include <cstdint>

@@ -13,8 +13,8 @@
 // The KNL MCDRAM usage mode applies to the nearest tier when its kind is
 // MCDRAM: in cache-like modes that tier has no addressable MemorySpace
 // and chunked code processes data in place one level down, exactly as
-// DualSpace behaves.  DualSpace and TripleSpace are thin compatibility
-// views over 2- and 3-tier hierarchies.
+// DualSpace behaves.  DualSpace is a thin compatibility view over a
+// 2-tier hierarchy or two adjacent tiers of a larger one.
 #pragma once
 
 #include <cstdint>

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <future>
 #include <vector>
 
@@ -55,21 +56,20 @@ void parallel_memcpy(Executor& pool, void* dst, const void* src,
                      CopyMode mode = CopyMode::Cached,
                      std::size_t slice_align = kCopySliceAlignBytes);
 
-/// Non-blocking variant: slices are posted to the pool and the batch
-/// future returned.  The caller must keep src/dst alive and join every
-/// future (via pool.wait(), which a deterministic executor needs to
-/// drive its schedule) before touching either region.  Safe to call
-/// from the orchestrating thread while the pool's workers stay free to
-/// run the slices (unlike wrapping the blocking call in a pool task,
-/// which deadlocks a pool of size one).
+/// Non-blocking variant: at most `max_ways` slices are posted to the
+/// pool and the batch future returned.  The caller must keep src/dst
+/// alive and join every future with pool.wait() (which a deterministic
+/// executor needs to drive its schedule) before touching either region.
+/// Safe to call from the orchestrating thread while the pool's workers
+/// stay free to run the slices (unlike wrapping the blocking call in a
+/// pool task, which deadlocks a pool of size one).  `on_slice_done`, if
+/// set, runs on the worker right after each slice's bytes are copied —
+/// concurrently across slices — so a caller can time when the copy
+/// itself finished rather than when it was joined.
 std::vector<std::future<void>> parallel_memcpy_async(
     Executor& pool, void* dst, const void* src, std::size_t bytes,
-    CopyMode mode = CopyMode::Cached,
-    std::size_t slice_align = kCopySliceAlignBytes);
-
-/// Block on futures returned by parallel_memcpy_async, rethrowing the
-/// first captured exception.  Only valid for real thread pools; under a
-/// DeterministicExecutor use pool.wait(futures) instead.
-void wait_all(std::vector<std::future<void>>& futures);
+    std::size_t max_ways, CopyMode mode = CopyMode::Cached,
+    std::size_t slice_align = kCopySliceAlignBytes,
+    std::function<void()> on_slice_done = nullptr);
 
 }  // namespace mlm

@@ -60,7 +60,8 @@ void parallel_memcpy(Executor& pool, void* dst, const void* src,
 
 std::vector<std::future<void>> parallel_memcpy_async(
     Executor& pool, void* dst, const void* src, std::size_t bytes,
-    CopyMode mode, std::size_t slice_align) {
+    std::size_t max_ways, CopyMode mode, std::size_t slice_align,
+    std::function<void()> on_slice_done) {
   MLM_REQUIRE(dst != nullptr && src != nullptr, "null copy endpoint");
   MLM_REQUIRE(slice_align >= 1, "slice_align must be >= 1");
   std::vector<std::future<void>> futs;
@@ -72,27 +73,16 @@ std::vector<std::future<void>> parallel_memcpy_async(
               "parallel_memcpy regions must not overlap");
 
   const std::size_t ways =
-      parallel_memcpy_slice_count(bytes, pool.size(), pool.size());
+      parallel_memcpy_slice_count(bytes, pool.size(), max_ways);
   futs.push_back(pool.submit_slices(
-      ways, [d, s, bytes, ways, mode, slice_align](std::size_t p) {
+      ways, [d, s, bytes, ways, mode, slice_align,
+             done = std::move(on_slice_done)](std::size_t p) {
         const IndexRange r =
             partition_range_aligned(bytes, ways, p, slice_align);
-        if (r.empty()) return;
-        copy_bytes(d + r.begin, s + r.begin, r.size(), mode);
+        if (!r.empty()) copy_bytes(d + r.begin, s + r.begin, r.size(), mode);
+        if (done) done();
       }));
   return futs;
-}
-
-void wait_all(std::vector<std::future<void>>& futures) {
-  std::exception_ptr err;
-  for (auto& f : futures) {
-    try {
-      if (f.valid()) f.get();
-    } catch (...) {
-      if (!err) err = std::current_exception();
-    }
-  }
-  if (err) std::rethrow_exception(err);
 }
 
 }  // namespace mlm

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "mlm/support/error.h"
@@ -230,6 +232,27 @@ TEST(ChunkPipeline, StatsStepCountsMatchBuffering) {
         [](std::span<std::int64_t>, Executor&, std::size_t) {});
     EXPECT_EQ(stats.chunks, 4u);
     EXPECT_EQ(stats.steps, expected_steps) << to_string(buffering);
+  }
+}
+
+TEST(ChunkPipeline, CopyStageTimesEndAtTheLastSliceNotTheJoin) {
+  // Overlapped copies are joined at the step barrier, after compute.  A
+  // slow compute over tiny chunks must not show up as copy time: each
+  // copy moves 4 KiB, while compute sleeps 10 ms per chunk.
+  DualSpace space = make_space(McdramMode::Flat);
+  std::vector<std::int64_t> data(8 * 4096 / 8, 1);  // 8 chunks
+  for (Buffering buffering : {Buffering::Double, Buffering::Triple}) {
+    const PipelineStats stats = run_chunk_pipeline_typed<std::int64_t>(
+        space, std::span<std::int64_t>(data), small_config(buffering, 4096),
+        [](std::span<std::int64_t>, Executor&, std::size_t) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        });
+    ASSERT_EQ(stats.chunks, 8u);
+    EXPECT_GE(stats.compute_seconds, 0.08) << to_string(buffering);
+    EXPECT_LT(stats.copy_in_seconds, stats.compute_seconds / 4)
+        << to_string(buffering);
+    EXPECT_LT(stats.copy_out_seconds, stats.compute_seconds / 4)
+        << to_string(buffering);
   }
 }
 

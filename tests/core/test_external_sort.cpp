@@ -18,28 +18,33 @@ using sort::InputOrder;
 using sort::make_input;
 
 // Tiny three-level machine: 512 KiB "MCDRAM", 2 MiB "DDR", unlimited NVM.
-TripleSpace make_space() {
-  TripleSpaceConfig cfg;
+HierarchyConfig three_level() {
+  HierarchyConfig cfg;
   cfg.mode = McdramMode::Flat;
-  cfg.mcdram_bytes = KiB(512);
-  cfg.ddr_bytes = MiB(2);
-  cfg.nvm_bytes = 0;
-  return TripleSpace(cfg);
+  cfg.tiers = {TierConfig{"nvm", MemKind::NVM, 0},
+               TierConfig{"ddr", MemKind::DDR, MiB(2)},
+               TierConfig{"mcdram", MemKind::MCDRAM, KiB(512)}};
+  return cfg;
 }
 
 TEST(TripleSpace, LevelsHaveExpectedKindsAndCapacities) {
-  TripleSpace ts = make_space();
-  EXPECT_EQ(ts.nvm().kind(), MemKind::NVM);
-  EXPECT_TRUE(ts.nvm().unlimited());
-  EXPECT_EQ(ts.ddr().capacity_bytes(), MiB(2));
-  EXPECT_EQ(ts.mcdram().capacity_bytes(), KiB(512));
-  EXPECT_TRUE(ts.has_addressable_mcdram());
+  MemoryHierarchy hier(three_level());
+  EXPECT_EQ(hier.tier(0).kind(), MemKind::NVM);
+  EXPECT_TRUE(hier.tier(0).unlimited());
+  EXPECT_EQ(hier.tier(1).capacity_bytes(), MiB(2));
+  EXPECT_EQ(hier.tier(2).capacity_bytes(), KiB(512));
+  EXPECT_TRUE(hier.tier_addressable(2));
 }
 
+// The external sorter sizes outer chunks from DDR's free bytes, so its
+// three-level machine must cap DDR.
 TEST(TripleSpace, RequiresDdrLimit) {
-  TripleSpaceConfig cfg;
-  cfg.ddr_bytes = 0;
-  EXPECT_THROW(TripleSpace{cfg}, InvalidArgumentError);
+  HierarchyConfig cfg = three_level();
+  cfg.tiers[1].capacity_bytes = 0;
+  MemoryHierarchy hier(cfg);
+  ThreadPool pool(1);
+  EXPECT_THROW(ExternalMlmSorter<std::int64_t>(hier, pool, {}),
+               InvalidArgumentError);
 }
 
 class ExternalSortProperty : public ::testing::TestWithParam<
@@ -47,11 +52,11 @@ class ExternalSortProperty : public ::testing::TestWithParam<
 
 TEST_P(ExternalSortProperty, SortsNvmResidentData) {
   const auto [n, order] = GetParam();
-  TripleSpace space = make_space();
+  MemoryHierarchy hier(three_level());
   ThreadPool pool(4);
 
   // Data lives in the NVM space.
-  SpaceBuffer<std::int64_t> data(space.nvm(), std::max<std::size_t>(n, 1));
+  SpaceBuffer<std::int64_t> data(hier.tier(0), std::max<std::size_t>(n, 1));
   auto init = make_input(n, order, n * 13 + 1);
   std::copy(init.begin(), init.end(), data.data());
   auto expect = init;
@@ -59,7 +64,7 @@ TEST_P(ExternalSortProperty, SortsNvmResidentData) {
 
   ExternalSortConfig cfg;
   cfg.inner.variant = MlmVariant::Flat;
-  ExternalMlmSorter<std::int64_t> sorter(space, pool, cfg);
+  ExternalMlmSorter<std::int64_t> sorter(hier, pool, cfg);
   const ExternalSortStats stats =
       sorter.sort(std::span<std::int64_t>(data.data(), n));
 
@@ -73,8 +78,8 @@ TEST_P(ExternalSortProperty, SortsNvmResidentData) {
     EXPECT_GE(stats.last_inner.megachunks, 2u);
   }
   // All staging returned.
-  EXPECT_EQ(space.ddr().stats().used_bytes, 0u);
-  EXPECT_EQ(space.mcdram().stats().used_bytes, 0u);
+  EXPECT_EQ(hier.tier(1).stats().used_bytes, 0u);
+  EXPECT_EQ(hier.tier(2).stats().used_bytes, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -86,15 +91,15 @@ INSTANTIATE_TEST_SUITE_P(
                           InputOrder::FewDistinct)));
 
 TEST(ExternalSort, ExplicitOuterChunkHonored) {
-  TripleSpace space = make_space();
+  MemoryHierarchy hier(three_level());
   ThreadPool pool(2);
-  SpaceBuffer<std::int64_t> data(space.nvm(), 400000);
+  SpaceBuffer<std::int64_t> data(hier.tier(0), 400000);
   auto init = make_input(400000, InputOrder::Random, 3);
   std::copy(init.begin(), init.end(), data.data());
 
   ExternalSortConfig cfg;
   cfg.outer_chunk_elements = 100000;
-  ExternalMlmSorter<std::int64_t> sorter(space, pool, cfg);
+  ExternalMlmSorter<std::int64_t> sorter(hier, pool, cfg);
   const auto stats = sorter.sort(std::span<std::int64_t>(data.data(),
                                                          400000));
   EXPECT_EQ(stats.outer_chunks, 4u);
@@ -102,24 +107,24 @@ TEST(ExternalSort, ExplicitOuterChunkHonored) {
 }
 
 TEST(ExternalSort, OversizedOuterChunkRejected) {
-  TripleSpace space = make_space();
+  MemoryHierarchy hier(three_level());
   ThreadPool pool(2);
-  SpaceBuffer<std::int64_t> data(space.nvm(), 1000);
+  SpaceBuffer<std::int64_t> data(hier.tier(0), 1000);
   ExternalSortConfig cfg;
   // 2 MiB of DDR / 8 B / 2 = 131072 elements max.
   cfg.outer_chunk_elements = 200000;
-  ExternalMlmSorter<std::int64_t> sorter(space, pool, cfg);
+  ExternalMlmSorter<std::int64_t> sorter(hier, pool, cfg);
   EXPECT_THROW(sorter.sort(std::span<std::int64_t>(data.data(), 1000)),
                InvalidArgumentError);
 }
 
 TEST(ExternalMerge, MergesFarRunsThroughTinyBlocks) {
-  TripleSpace space = make_space();
+  MemoryHierarchy hier(three_level());
   ThreadPool pool(3);
   // Three sorted far-resident runs.
   const std::size_t run_len = 5000;
-  SpaceBuffer<std::int64_t> far(space.nvm(), 3 * run_len);
-  SpaceBuffer<std::int64_t> out(space.nvm(), 3 * run_len);
+  SpaceBuffer<std::int64_t> far(hier.tier(0), 3 * run_len);
+  SpaceBuffer<std::int64_t> out(hier.tier(0), 3 * run_len);
   std::vector<std::int64_t> all;
   Xoshiro256ss rng(5);
   for (std::size_t r = 0; r < 3; ++r) {
@@ -136,28 +141,28 @@ TEST(ExternalMerge, MergesFarRunsThroughTinyBlocks) {
     runs.emplace_back(far.data() + r * run_len, run_len);
   }
   // Deliberately tiny blocks: forces many refills and tree rebuilds.
-  external_multiway_merge(pool, space.ddr(),
+  external_multiway_merge(pool, hier.tier(1),
                           std::span<const mlm::sort::Run<std::int64_t>>(runs),
                           std::span<std::int64_t>(out.data(), 3 * run_len),
                           /*block_elements=*/64);
   EXPECT_TRUE(std::equal(all.begin(), all.end(), out.data()));
-  EXPECT_EQ(space.ddr().stats().used_bytes, 0u);
+  EXPECT_EQ(hier.tier(1).stats().used_bytes, 0u);
 }
 
 TEST(ExternalMerge, RejectsBadArguments) {
-  TripleSpace space = make_space();
+  MemoryHierarchy hier(three_level());
   ThreadPool pool(1);
-  SpaceBuffer<std::int64_t> far(space.nvm(), 10);
+  SpaceBuffer<std::int64_t> far(hier.tier(0), 10);
   std::vector<mlm::sort::Run<std::int64_t>> runs{{far.data(), 10}};
   std::vector<std::int64_t> out_wrong(5);
   EXPECT_THROW(external_multiway_merge(
-                   pool, space.ddr(),
+                   pool, hier.tier(1),
                    std::span<const mlm::sort::Run<std::int64_t>>(runs),
                    std::span<std::int64_t>(out_wrong), 64),
                InvalidArgumentError);
-  SpaceBuffer<std::int64_t> out(space.nvm(), 10);
+  SpaceBuffer<std::int64_t> out(hier.tier(0), 10);
   EXPECT_THROW(external_multiway_merge(
-                   pool, space.ddr(),
+                   pool, hier.tier(1),
                    std::span<const mlm::sort::Run<std::int64_t>>(runs),
                    std::span<std::int64_t>(out.data(), 10), 0),
                InvalidArgumentError);

@@ -6,6 +6,7 @@
 #include <tuple>
 #include <vector>
 
+#include "mlm/parallel/thread_pool.h"
 #include "mlm/sort/input_gen.h"
 #include "mlm/support/error.h"
 #include "mlm/support/units.h"
@@ -139,30 +140,6 @@ TEST(MlmSorter, CustomComparator) {
                                                  std::greater<>{});
   sorter.sort(std::span<std::int64_t>(data));
   EXPECT_TRUE(std::is_sorted(data.begin(), data.end(), std::greater<>{}));
-}
-
-TEST(BasicChunkedSort, SortsThroughPipeline) {
-  DualSpaceConfig scfg;
-  scfg.mode = McdramMode::Flat;
-  scfg.mcdram_bytes = MiB(2);
-  DualSpace space(scfg);
-  ThreadPool pool(4);
-  auto data = make_input(300000, InputOrder::Random, 12);
-  auto expect = data;
-  std::sort(expect.begin(), expect.end());
-  basic_chunked_sort(space, pool, std::span<std::int64_t>(data), 100000);
-  EXPECT_EQ(data, expect);
-  EXPECT_EQ(space.mcdram().stats().used_bytes, 0u);
-}
-
-TEST(BasicChunkedSort, DdrOnlyPath) {
-  DualSpaceConfig scfg;
-  scfg.mode = McdramMode::DdrOnly;
-  DualSpace space(scfg);
-  ThreadPool pool(3);
-  auto data = make_input(120000, InputOrder::Reverse, 13);
-  basic_chunked_sort(space, pool, std::span<std::int64_t>(data), 50000);
-  EXPECT_TRUE(std::is_sorted(data.begin(), data.end()));
 }
 
 TEST(MlmVariant, Names) {

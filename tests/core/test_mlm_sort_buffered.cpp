@@ -1,11 +1,14 @@
 // Tests for the buffered (double-megachunk) MLM-sort variant — the §6
 // future-work feature: copy-in of megachunk c+1 overlaps the sorting of
-// megachunk c.
+// megachunk c, on the same executor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "mlm/core/mlm_sort.h"
+#include "mlm/parallel/deterministic_executor.h"
+#include "mlm/parallel/thread_pool.h"
 #include "mlm/sort/input_gen.h"
 #include "mlm/support/error.h"
 #include "mlm/support/units.h"
@@ -98,6 +101,55 @@ TEST(BufferedMlmSort, MatchesUnbufferedResult) {
   s2.sort(std::span<std::int64_t>(data2));
 
   EXPECT_EQ(data1, data2);
+}
+
+struct SeamRun {
+  std::vector<std::int64_t> data;
+  std::string schedule;
+  std::size_t tasks = 0;
+  MlmSortStats stats;
+};
+
+// 20000 int64 through 32 KiB megachunks (5 of them) on a 4-worker
+// deterministic executor.
+SeamRun sort_under_seed(std::uint64_t seed, bool overlap) {
+  DualSpace space = flat_space(KiB(64));
+  DeterministicScheduler sched(seed);
+  DeterministicExecutor pool(sched, 4, "pool");
+  MlmSortConfig cfg;
+  cfg.variant = MlmVariant::Flat;
+  cfg.megachunk_elements = KiB(32) / sizeof(std::int64_t);
+  cfg.overlap_copy_in = overlap;
+  cfg.copy_threads = 2;
+  SeamRun run;
+  run.data = make_input(20000, InputOrder::Random, 77);
+  MlmSorter<std::int64_t> sorter(space, pool, cfg);
+  run.stats = sorter.sort(std::span<std::int64_t>(run.data));
+  run.schedule = sched.format_trace();
+  run.tasks = pool.tasks_executed();
+  return run;
+}
+
+TEST(BufferedMlmSort, HundredSeedSweepRunsCopiesOnTheCallersExecutor) {
+  std::vector<std::int64_t> expect = make_input(20000, InputOrder::Random, 77);
+  std::sort(expect.begin(), expect.end());
+  for (std::uint64_t seed = 0; seed < 100; ++seed) {
+    const SeamRun a = sort_under_seed(seed, true);
+    const SeamRun b = sort_under_seed(seed, true);
+    ASSERT_EQ(a.data, expect) << "seed " << seed;
+    ASSERT_EQ(a.schedule, b.schedule) << "seed " << seed;
+    ASSERT_EQ(a.stats.megachunks, 5u);
+    ASSERT_EQ(a.stats.overlapped_copies, 4u);
+    // The unbuffered sort runs the same sort and merge tasks and copies
+    // each sub-128 KiB megachunk inline.  The buffered one adds one
+    // copy-in slice per overlapped megachunk (32 KiB is below the
+    // minimum slice, so copy_threads = 2 still posts one) — on this
+    // executor, where the seeded schedule reaches it.
+    const SeamRun plain = sort_under_seed(seed, false);
+    ASSERT_EQ(plain.data, expect) << "seed " << seed;
+    EXPECT_EQ(a.tasks, plain.tasks + a.stats.overlapped_copies)
+        << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include "mlm/core/pipeline_validator.h"
 #include "mlm/memory/memkind_shim.h"
 #include "mlm/memory/memory_space.h"
-#include "mlm/memory/triple_space.h"
 #include "mlm/parallel/deterministic_executor.h"
 #include "mlm/parallel/thread_pool.h"
 #include "mlm/support/proptest.h"
@@ -467,15 +466,15 @@ SortOutcome run_sort_under_fault(const char* site,
                                  const DegradePolicy& policy,
                                  std::uint64_t data_seed) {
   constexpr std::size_t n = 1 << 16;  // 512 KiB of int64 in NVM
-  TripleSpaceConfig space_cfg;
-  space_cfg.mode = McdramMode::Flat;
-  space_cfg.mcdram_bytes = KiB(512);
-  space_cfg.ddr_bytes = MiB(2);
-  space_cfg.nvm_bytes = 0;  // unlimited
-  TripleSpace space(space_cfg);
+  HierarchyConfig hier_cfg;
+  hier_cfg.mode = McdramMode::Flat;
+  hier_cfg.tiers = {TierConfig{"nvm", MemKind::NVM, 0},  // unlimited
+                    TierConfig{"ddr", MemKind::DDR, MiB(2)},
+                    TierConfig{"mcdram", MemKind::MCDRAM, KiB(512)}};
+  MemoryHierarchy hier(hier_cfg);
   ThreadPool pool(2);
 
-  SpaceBuffer<std::int64_t> data(space.nvm(), n);
+  SpaceBuffer<std::int64_t> data(hier.tier(0), n);
   Xoshiro256ss rng(data_seed + 1);
   for (std::size_t i = 0; i < n; ++i) {
     data[i] = static_cast<std::int64_t>(rng.next());
@@ -487,7 +486,7 @@ SortOutcome run_sort_under_fault(const char* site,
   cfg.outer_chunk_elements = 1 << 14;  // 4 outer chunks
   cfg.inner.variant = MlmVariant::Flat;
   cfg.degrade = policy;
-  ExternalMlmSorter<std::int64_t> sorter(space, pool, cfg);
+  ExternalMlmSorter<std::int64_t> sorter(hier, pool, cfg);
 
   fault::FaultPlan plan;
   plan.arm(site, trigger);

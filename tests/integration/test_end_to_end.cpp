@@ -122,17 +122,5 @@ TEST(EndToEnd, MemkindShimBackedSortWorkflow) {
   EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
 }
 
-TEST(EndToEnd, BasicChunkedEqualsStdSortAtScale) {
-  const KnlConfig machine = scaled();
-  DualSpace space(make_dual_space_config(machine, McdramMode::Flat));
-  ThreadPool pool(4);
-  auto data = make_input(3 << 20, InputOrder::NearlySorted, 31);
-  auto expect = data;
-  std::sort(expect.begin(), expect.end());
-  core::basic_chunked_sort(space, pool, std::span<std::int64_t>(data),
-                           1 << 19);
-  EXPECT_EQ(data, expect);
-}
-
 }  // namespace
 }  // namespace mlm

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mlm/memory/dual_space.h"
 #include "mlm/support/units.h"
 
 namespace mlm {
@@ -245,6 +246,79 @@ TEST(MemoryHierarchy, CapacityEnforcedPerTier) {
   void* q = h.tier(1).allocate(MiB(2));
   EXPECT_THROW(h.tier(1).allocate(64), OutOfMemoryError);
   h.tier(1).deallocate(q);
+}
+
+// TripleSpace: the three-level NVM -> DDR -> MCDRAM machine of the §6
+// double-chunking extension, as ExternalMlmSorter sees it — a three-tier
+// hierarchy with a limited NVM tier, plus the DualSpace view of its
+// DDR + MCDRAM pair that the inner MlmSorter runs on.
+HierarchyConfig triple(McdramMode mode) {
+  HierarchyConfig c = three_tier(mode);
+  c.tiers[0].capacity_bytes = MiB(16);
+  return c;
+}
+
+TEST(TripleSpace, ExposesThreeTierHierarchy) {
+  MemoryHierarchy h(triple(McdramMode::Flat));
+  EXPECT_EQ(h.tier_count(), 3u);
+  EXPECT_EQ(h.tier(0).kind(), MemKind::NVM);
+  EXPECT_EQ(h.tier(1).kind(), MemKind::DDR);
+  EXPECT_EQ(h.tier(2).kind(), MemKind::MCDRAM);
+}
+
+TEST(TripleSpace, CapacityAccountingPerTier) {
+  MemoryHierarchy h(triple(McdramMode::Flat));
+  void* n = h.tier(0).allocate(MiB(8));
+  void* d = h.tier(1).allocate(MiB(1));
+  void* m = h.tier(2).allocate(KiB(256));
+  EXPECT_EQ(h.tier(0).stats().used_bytes, MiB(8));
+  EXPECT_EQ(h.tier(1).stats().used_bytes, MiB(1));
+  EXPECT_EQ(h.tier(2).stats().used_bytes, KiB(256));
+  // Usage in one tier does not consume another tier's capacity.
+  EXPECT_EQ(h.tier(1).stats().free_bytes(), MiB(1));
+  EXPECT_EQ(h.tier(2).stats().free_bytes(), KiB(256));
+  h.tier(0).deallocate(n);
+  h.tier(1).deallocate(d);
+  h.tier(2).deallocate(m);
+  EXPECT_EQ(h.tier(1).stats().used_bytes, 0u);
+}
+
+TEST(TripleSpace, UpperPairSharesTheHierarchyTiers) {
+  MemoryHierarchy h(triple(McdramMode::Flat));
+  DualSpace upper(h, 1);
+  EXPECT_EQ(&upper.ddr(), &h.tier(1));
+  EXPECT_EQ(&upper.mcdram(), &h.tier(2));
+  EXPECT_EQ(&upper.hierarchy(), &h);
+  // Allocations through the view are visible through the owner.
+  void* p = upper.mcdram().allocate(KiB(128));
+  EXPECT_EQ(h.tier(2).stats().used_bytes, KiB(128));
+  upper.mcdram().deallocate(p);
+}
+
+TEST(TripleSpace, ModeGovernsMcdramAddressability) {
+  for (McdramMode mode : {McdramMode::Cache, McdramMode::ImplicitCache,
+                          McdramMode::DdrOnly}) {
+    MemoryHierarchy h(triple(mode));
+    DualSpace upper(h, 1);
+    EXPECT_FALSE(h.tier_addressable(2)) << to_string(mode);
+    EXPECT_THROW(h.tier(2), Error);
+    EXPECT_FALSE(upper.has_addressable_mcdram());
+    // The NVM and DDR tiers stay addressable regardless of mode.
+    EXPECT_EQ(h.tier(0).capacity_bytes(), MiB(16));
+    EXPECT_EQ(&upper.near_space(), &h.tier(1));
+  }
+  MemoryHierarchy hybrid(triple(McdramMode::Hybrid));
+  EXPECT_TRUE(hybrid.tier_addressable(2));
+  EXPECT_EQ(hybrid.tier(2).capacity_bytes(), KiB(256));
+}
+
+TEST(TripleSpace, OutOfMemoryPropagatesPerTier) {
+  MemoryHierarchy h(triple(McdramMode::Flat));
+  EXPECT_THROW(h.tier(2).allocate(MiB(1)), OutOfMemoryError);
+  EXPECT_THROW(h.tier(1).allocate(MiB(4)), OutOfMemoryError);
+  EXPECT_THROW(h.tier(0).allocate(MiB(32)), OutOfMemoryError);
+  // try_allocate reports the same exhaustion without throwing.
+  EXPECT_EQ(h.tier(2).try_allocate(MiB(1)), nullptr);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -82,9 +83,9 @@ TEST(ParallelMemcpyAsync, CompletesViaFutures) {
   const auto src = random_bytes(3 << 20, 11);
   std::vector<unsigned char> dst(src.size(), 0);
   auto futs = parallel_memcpy_async(pool, dst.data(), src.data(),
-                                    src.size());
+                                    src.size(), pool.size());
   EXPECT_FALSE(futs.empty());
-  wait_all(futs);
+  pool.wait(futs);
   EXPECT_EQ(dst, src);
 }
 
@@ -95,14 +96,26 @@ TEST(ParallelMemcpyAsync, SafeFromSingleThreadPool) {
   const auto src = random_bytes(1 << 20, 13);
   std::vector<unsigned char> dst(src.size(), 0);
   auto futs = parallel_memcpy_async(pool, dst.data(), src.data(),
-                                    src.size());
-  wait_all(futs);
+                                    src.size(), pool.size());
+  pool.wait(futs);
   EXPECT_EQ(dst, src);
 }
 
-TEST(WaitAll, EmptyVectorOk) {
-  std::vector<std::future<void>> futs;
-  EXPECT_NO_THROW(wait_all(futs));
+TEST(ParallelMemcpyAsync, MaxWaysCapsTheSlicesAndEachReportsDone) {
+  ThreadPool pool(4);
+  const auto src = random_bytes(4 << 20, 17);
+  std::vector<unsigned char> dst(src.size(), 0);
+  std::atomic<std::size_t> done{0};
+  const std::size_t before = pool.tasks_executed();
+  auto futs = parallel_memcpy_async(pool, dst.data(), src.data(),
+                                    src.size(), 2, CopyMode::Cached,
+                                    kCopySliceAlignBytes, [&done] {
+                                      done.fetch_add(1);
+                                    });
+  pool.wait(futs);
+  EXPECT_EQ(dst, src);
+  EXPECT_EQ(pool.tasks_executed() - before, 2u);
+  EXPECT_EQ(done.load(), 2u);
 }
 
 TEST(ParallelMemcpySliceCount, EverySliceMeetsTheMinimum) {
@@ -181,8 +194,8 @@ TEST(ParallelMemcpyAsync, CustomSliceAlignCopiesExactly) {
   const auto src = random_bytes(n, 99);
   std::vector<unsigned char> dst(n, 0xEE);
   auto futs = parallel_memcpy_async(pool, dst.data(), src.data(), n,
-                                    CopyMode::Cached, 4096);
-  wait_all(futs);
+                                    pool.size(), CopyMode::Cached, 4096);
+  pool.wait(futs);
   EXPECT_EQ(dst, src);
 }
 

@@ -265,26 +265,26 @@ TEST(ExternalSplitMerge, MatchesAosExternalMerge) {
 
 TEST(ExternalSorter, MergeLayoutDispatchIsByteIdentical) {
   // Small three-level machine so the outer merge actually runs.
-  TripleSpaceConfig space_cfg;
-  space_cfg.mode = McdramMode::Flat;
-  space_cfg.mcdram_bytes = 64 * 1024;
-  space_cfg.ddr_bytes = 256 * 1024;
-  space_cfg.nvm_bytes = 0;
+  HierarchyConfig hier_cfg;
+  hier_cfg.mode = McdramMode::Flat;
+  hier_cfg.tiers = {TierConfig{"nvm", MemKind::NVM, 0},
+                    TierConfig{"ddr", MemKind::DDR, 256 * 1024},
+                    TierConfig{"mcdram", MemKind::MCDRAM, 64 * 1024}};
 
   const std::size_t n = (1024 * 1024) / sizeof(Record64);  // 4x DDR
   const auto input = make_records<56>(n, InputOrder::FewDistinct, 21);
 
   std::vector<std::vector<Record64>> results;
   for (RecordLayout layout : kAllRecordLayouts) {
-    TripleSpace space(space_cfg);
+    MemoryHierarchy hier(hier_cfg);
     ThreadPool pool(4);
-    SpaceBuffer<Record64> data(space.nvm(), n);
+    SpaceBuffer<Record64> data(hier.tier(0), n);
     std::copy(input.begin(), input.end(), data.data());
 
     core::ExternalSortConfig cfg;
     cfg.inner.variant = core::MlmVariant::Flat;
     cfg.merge_layout = layout;
-    core::ExternalMlmSorter<Record64> sorter(space, pool, cfg);
+    core::ExternalMlmSorter<Record64> sorter(hier, pool, cfg);
     const core::ExternalSortStats stats =
         sorter.sort(std::span<Record64>(data.data(), n));
     EXPECT_TRUE(stats.external_merge_ran) << to_string(layout);
